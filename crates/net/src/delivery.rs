@@ -48,9 +48,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use reweb_persist::outbox::{Outbox, PendingDelivery, Settle};
+use reweb_persist::outbox::{GroupSync, Outbox, PendingDelivery, Settle};
 use reweb_persist::SyncPolicy;
-use reweb_term::frame::{crc32, scan_frames, write_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use reweb_term::frame::{
+    crc32, push_frame, scan_frames, write_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 use reweb_term::{parse_term, Term, Timestamp};
 
 use crate::limit::BackoffPolicy;
@@ -137,6 +139,27 @@ pub struct DeliveryStats {
     /// destination (they still reached their submitter as a `reaction`
     /// reply; they were never the agent's to deliver).
     pub unrouted: u64,
+    /// `sync_data` calls that journaled enqueues (and redeliveries) in
+    /// the outbox: one per engine batch handed over with
+    /// [`DeliveryHandle::enqueue_batch`], however many reactions it held.
+    pub outbox_fsyncs: u64,
+    /// `sync_data` calls that made settlements durable. Workers share
+    /// them: one covers every settlement appended before it started.
+    pub settle_fsyncs: u64,
+}
+
+/// One reaction handed to the agent.
+#[derive(Debug, Clone, Copy)]
+pub struct Outbound<'a> {
+    /// Destination URI (the reaction's `to[...]`).
+    pub to: &'a str,
+    /// Event time of the originating event.
+    pub at: Timestamp,
+    /// The reaction term.
+    pub payload: &'a Term,
+    /// Originating event's trace id (0 = untraced); joins the outbox
+    /// and delivery spans to the causal chain the engine recorded.
+    pub trace: u64,
 }
 
 struct Queued {
@@ -159,6 +182,9 @@ struct AgentState {
 
 struct AgentInner {
     cfg: DeliveryConfig,
+    /// The outbox's group-commit point, where workers make their
+    /// settlements durable without holding `state`.
+    group: Option<Arc<GroupSync>>,
     routes: Mutex<Vec<(String, SocketAddr)>>,
     state: Mutex<AgentState>,
     cv: Condvar,
@@ -188,10 +214,12 @@ pub struct DeliveryHandle {
 }
 
 impl DeliveryHandle {
-    /// See [`DeliveryAgent::enqueue`]. `trace` is the originating
-    /// event's trace id (0 = untraced).
-    pub fn enqueue(&self, to: &str, at: Timestamp, payload: &Term, trace: u64) -> bool {
-        enqueue_inner(&self.inner, to, at, payload, None, trace)
+    /// Queue every reaction of one engine batch: one outbox write and
+    /// one fsync for the lot (see [`DeliveryAgent::enqueue`] for one).
+    /// Returns how many were queued; unrouted ones are counted in
+    /// [`DeliveryStats::unrouted`] and skipped.
+    pub fn enqueue_batch(&self, items: &[Outbound<'_>]) -> usize {
+        enqueue_inner(&self.inner, items)
     }
 
     /// Swap in a shared observability handle (outbox + delivery
@@ -258,7 +286,7 @@ fn resolve(routes: &[(String, SocketAddr)], to: &str) -> Option<SocketAddr> {
         .map(|(_, a)| *a)
 }
 
-fn prefix_entry<T: Copy>(table: &[(String, T)], to: &str) -> Option<usize> {
+fn prefix_entry<T>(table: &[(String, T)], to: &str) -> Option<usize> {
     table
         .iter()
         .enumerate()
@@ -267,67 +295,86 @@ fn prefix_entry<T: Copy>(table: &[(String, T)], to: &str) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-fn enqueue_inner(
-    inner: &Arc<AgentInner>,
-    to: &str,
-    at: Timestamp,
-    payload: &Term,
-    fixed_seq: Option<u64>,
-    trace: u64,
-) -> bool {
-    {
+fn enqueue_inner(inner: &Arc<AgentInner>, items: &[Outbound<'_>]) -> usize {
+    let routed: Vec<&Outbound<'_>> = {
         let routes = inner.routes.lock().expect("route table poisoned");
-        if resolve(&routes, to).is_none() {
-            let mut s = inner.state.lock().expect("delivery state poisoned");
-            s.stats.unrouted += 1;
+        items
+            .iter()
+            .filter(|o| resolve(&routes, o.to).is_some())
+            .collect()
+    };
+    let mut s = inner.state.lock().expect("delivery state poisoned");
+    s.stats.unrouted += (items.len() - routed.len()) as u64;
+    if routed.is_empty() {
+        return 0;
+    }
+    let seqs = match s.outbox.as_mut() {
+        Some(ob) => match ob.enqueue_many(routed.iter().map(|o| (o.to, o.at, o.payload))) {
+            Ok(seqs) => seqs,
+            Err(_) => return 0,
+        },
+        None => {
+            // No journal: synthesize monotone seqs from what is known.
+            let first = s.stats.enqueued + s.stats.redelivered;
+            first..first + routed.len() as u64
+        }
+    };
+    s.stats.enqueued += routed.len() as u64;
+    for (o, seq) in routed.iter().zip(seqs) {
+        s.queues
+            .entry(o.to.to_string())
+            .or_default()
+            .push_back(Queued {
+                seq,
+                at: o.at,
+                payload: o.payload.clone(),
+                attempts: 0,
+                trace: o.trace,
+            });
+    }
+    drop(s);
+    inner.cv.notify_all();
+    if routed.iter().any(|o| o.trace != 0) {
+        let obs = Arc::clone(&inner.obs.lock().expect("obs handle poisoned"));
+        if obs.is_enabled() {
+            // Instantaneous markers: the reactions entered the outbox.
+            let now = obs.now_ns();
+            for o in routed.iter().filter(|o| o.trace != 0) {
+                obs.span(o.trace, reweb_obs::Stage::Outbox, now, 0);
+            }
+        }
+    }
+    routed.len()
+}
+
+/// Re-queue a dead letter under its original seq. Returns `false` when
+/// it is still unroutable or cannot be journaled.
+fn requeue_inner(inner: &AgentInner, d: &DeadLetter) -> bool {
+    if resolve(&inner.routes.lock().expect("route table poisoned"), &d.to).is_none() {
+        return false;
+    }
+    let mut s = inner.state.lock().expect("delivery state poisoned");
+    if let Some(ob) = s.outbox.as_mut() {
+        let p = PendingDelivery {
+            seq: d.seq,
+            to: d.to.clone(),
+            at: d.at,
+            payload: d.payload.clone(),
+        };
+        if ob.requeue(&p).is_err() {
             return false;
         }
     }
-    let mut s = inner.state.lock().expect("delivery state poisoned");
-    let seq = match (fixed_seq, s.outbox.as_mut()) {
-        (Some(seq), Some(ob)) => {
-            let p = PendingDelivery {
-                seq,
-                to: to.to_string(),
-                at,
-                payload: payload.clone(),
-            };
-            if ob.requeue(&p).is_err() {
-                return false;
-            }
-            seq
-        }
-        (Some(seq), None) => seq,
-        (None, Some(ob)) => match ob.enqueue(to, at, payload) {
-            Ok(seq) => seq,
-            Err(_) => return false,
-        },
-        (None, None) => {
-            // No journal: synthesize monotone seqs from what is known.
-            s.stats.enqueued + s.stats.redelivered
-        }
-    };
-    s.stats.enqueued += 1;
-    s.queues
-        .entry(to.to_string())
-        .or_default()
-        .push_back(Queued {
-            seq,
-            at,
-            payload: payload.clone(),
-            attempts: 0,
-            trace,
-        });
+    s.stats.redelivered += 1;
+    s.queues.entry(d.to.clone()).or_default().push_back(Queued {
+        seq: d.seq,
+        at: d.at,
+        payload: d.payload.clone(),
+        attempts: 0,
+        trace: 0,
+    });
     drop(s);
     inner.cv.notify_all();
-    if trace != 0 {
-        let obs = Arc::clone(&inner.obs.lock().expect("obs handle poisoned"));
-        if obs.is_enabled() {
-            // Instantaneous marker: the reaction entered the outbox.
-            let now = obs.now_ns();
-            obs.span(trace, reweb_obs::Stage::Outbox, now, 0);
-        }
-    }
     true
 }
 
@@ -355,6 +402,7 @@ impl DeliveryAgent {
         };
         let inner = Arc::new(AgentInner {
             cfg,
+            group: outbox.as_ref().map(Outbox::group_sync),
             routes: Mutex::new(Vec::new()),
             state: Mutex::new(AgentState {
                 queues: HashMap::new(),
@@ -423,7 +471,13 @@ impl DeliveryAgent {
     /// matches `to` (counted in [`DeliveryStats::unrouted`]) — such
     /// reactions are the submitter's to handle, not the agent's.
     pub fn enqueue(&mut self, to: &str, at: Timestamp, payload: &Term) -> bool {
-        let queued = enqueue_inner(&self.inner, to, at, payload, None, 0);
+        let item = Outbound {
+            to,
+            at,
+            payload,
+            trace: 0,
+        };
+        let queued = enqueue_inner(&self.inner, &[item]) == 1;
         if queued {
             self.ensure_worker(to);
         }
@@ -491,12 +545,12 @@ impl DeliveryAgent {
 
     /// Snapshot the agent's counters.
     pub fn stats(&self) -> DeliveryStats {
-        self.inner
-            .state
-            .lock()
-            .expect("delivery state poisoned")
-            .stats
-            .clone()
+        let s = self.inner.state.lock().expect("delivery state poisoned");
+        DeliveryStats {
+            outbox_fsyncs: s.outbox.as_ref().map_or(0, Outbox::fsyncs),
+            settle_fsyncs: self.inner.group.as_ref().map_or(0, |g| g.fsyncs()),
+            ..s.stats.clone()
+        }
     }
 
     /// The dead-letter log, oldest first — the inspection surface.
@@ -523,18 +577,10 @@ impl DeliveryAgent {
             dead
         };
         let n = dead.len();
-        for d in &dead {
-            let queued = enqueue_inner(&self.inner, &d.to, d.at, &d.payload, Some(d.seq), 0);
-            let mut s = self.inner.state.lock().expect("delivery state poisoned");
-            if queued {
-                // enqueue_inner counted it as a fresh enqueue; account
-                // it as a redelivery instead.
-                s.stats.enqueued -= 1;
-                s.stats.redelivered += 1;
-            } else {
+        for d in dead {
+            if !requeue_inner(&self.inner, &d) {
                 // Still unroutable: keep it dead rather than lose it.
-                s.stats.unrouted -= 1;
-                let d = d.clone();
+                let mut s = self.inner.state.lock().expect("delivery state poisoned");
                 if let Some(f) = s.dead_file.as_mut() {
                     let _ = write_frame(f, &dead_letter_to_bytes(&d));
                     let _ = f.flush();
@@ -628,10 +674,7 @@ fn open_dead_letter(path: &Path) -> std::io::Result<(File, Vec<DeadLetter>)> {
 /// budget, dropping it at zero. Returns whether a fault fired.
 fn consume_fault(table: &Mutex<Vec<(String, u32)>>, to: &str) -> bool {
     let mut t = table.lock().expect("fault table poisoned");
-    if let Some(i) = prefix_entry(
-        &t.iter().map(|(p, n)| (p.clone(), *n)).collect::<Vec<_>>(),
-        to,
-    ) {
+    if let Some(i) = prefix_entry(&t, to) {
         if t[i].1 > 0 {
             t[i].1 -= 1;
             if t[i].1 == 0 {
@@ -645,11 +688,7 @@ fn consume_fault(table: &Mutex<Vec<(String, u32)>>, to: &str) -> bool {
 
 fn slow_delay(table: &Mutex<Vec<(String, Duration)>>, to: &str) -> Option<Duration> {
     let t = table.lock().expect("fault table poisoned");
-    prefix_entry(
-        &t.iter().map(|(p, d)| (p.clone(), *d)).collect::<Vec<_>>(),
-        to,
-    )
-    .map(|i| t[i].1)
+    prefix_entry(&t, to).map(|i| t[i].1)
 }
 
 /// One dial-and-push attempt against an open question: how did it end?
@@ -795,10 +834,6 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
         // Budget spent: dead-letter the head, freeing the queue.
         if attempts >= inner.cfg.retry_budget {
             session = None;
-            let mut s = inner.state.lock().expect("delivery state poisoned");
-            if let Some(q) = s.queues.get_mut(&dest) {
-                q.pop_front();
-            }
             let d = DeadLetter {
                 seq,
                 to: dest.clone(),
@@ -806,16 +841,15 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                 payload,
                 attempts,
             };
-            if let Some(f) = s.dead_file.as_mut() {
-                let _ = write_frame(f, &dead_letter_to_bytes(&d));
-                let _ = f.flush();
-                let _ = f.sync_data();
-            }
-            s.dead.push(d);
-            s.stats.dead_lettered += 1;
-            if let Some(ob) = s.outbox.as_mut() {
-                let _ = ob.settle(seq, Settle::DeadLettered);
-            }
+            settle_head(&inner, &dest, seq, Settle::DeadLettered, |s| {
+                if let Some(f) = s.dead_file.as_mut() {
+                    let _ = write_frame(f, &dead_letter_to_bytes(&d));
+                    let _ = f.flush();
+                    let _ = f.sync_data();
+                }
+                s.dead.push(d);
+                s.stats.dead_lettered += 1;
+            });
             continue;
         }
 
@@ -863,17 +897,12 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                         obs.span(trace, reweb_obs::Stage::Delivery, rtt_start, rtt);
                     }
                 }
-                let mut s = inner.state.lock().expect("delivery state poisoned");
-                if let Some(q) = s.queues.get_mut(&dest) {
-                    q.pop_front();
-                }
-                s.stats.delivered += 1;
-                if duplicate {
-                    s.stats.duplicate_acks += 1;
-                }
-                if let Some(ob) = s.outbox.as_mut() {
-                    let _ = ob.settle(seq, Settle::Acked);
-                }
+                settle_head(&inner, &dest, seq, Settle::Acked, |s| {
+                    s.stats.delivered += 1;
+                    if duplicate {
+                        s.stats.duplicate_acks += 1;
+                    }
+                });
             }
             Attempt::Failed => {
                 session = None;
@@ -881,6 +910,34 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                 backoff_sleep(&inner, attempts, seq);
             }
         }
+    }
+}
+
+/// Settle `dest`'s queue head `seq`. Under the state lock, `account`
+/// runs and the settlement is appended to the outbox; the fsync happens
+/// after the lock is dropped, where one `sync_data` covers every
+/// settlement appended before it started. Only then is the head popped,
+/// so a worker takes its next head after its own settle is durable.
+fn settle_head(
+    inner: &AgentInner,
+    dest: &str,
+    seq: u64,
+    how: Settle,
+    account: impl FnOnce(&mut AgentState),
+) {
+    let durable_at = {
+        let mut s = inner.state.lock().expect("delivery state poisoned");
+        account(&mut s);
+        s.outbox
+            .as_mut()
+            .and_then(|ob| ob.settle_deferred(seq, how).ok().flatten())
+    };
+    if let (Some(len), Some(group)) = (durable_at, inner.group.as_ref()) {
+        let _ = group.sync_to(len);
+    }
+    let mut s = inner.state.lock().expect("delivery state poisoned");
+    if let Some(q) = s.queues.get_mut(dest) {
+        q.pop_front();
     }
 }
 
@@ -926,6 +983,7 @@ pub struct DeliveryLedger {
     file: Option<File>,
     seen: std::collections::HashSet<String>,
     entries: Vec<(String, Term)>,
+    fsyncs: u64,
 }
 
 impl DeliveryLedger {
@@ -936,6 +994,7 @@ impl DeliveryLedger {
             file: None,
             seen: std::collections::HashSet::new(),
             entries: Vec::new(),
+            fsyncs: 0,
         }
     }
 
@@ -981,6 +1040,7 @@ impl DeliveryLedger {
             file: Some(file),
             seen,
             entries,
+            fsyncs: 0,
         })
     }
 
@@ -989,25 +1049,43 @@ impl DeliveryLedger {
         self.seen.contains(key)
     }
 
-    /// Record one ingested delivery. Journaled (and flushed) before the
+    /// Record one ingested delivery. Journaled (and synced) before the
     /// ack goes out, so a crash after the ack still remembers the key.
     pub fn record(&mut self, key: &str, payload: &Term) {
-        if !self.seen.insert(key.to_string()) {
-            return;
+        self.record_many([(key, payload)]);
+    }
+
+    /// Record the ingested deliveries of one engine batch with one write
+    /// and one fsync; keys already recorded are skipped. Call before
+    /// any of their acks goes out.
+    pub fn record_many<'a>(&mut self, items: impl IntoIterator<Item = (&'a str, &'a Term)>) {
+        let mut frames = Vec::new();
+        for (key, payload) in items {
+            if !self.seen.insert(key.to_string()) {
+                continue;
+            }
+            self.entries.push((key.to_string(), payload.clone()));
+            if self.file.is_some() {
+                let bytes = Term::build("d")
+                    .unordered()
+                    .field("key", key)
+                    .child(Term::ordered("payload", vec![payload.clone()]))
+                    .finish()
+                    .to_string()
+                    .into_bytes();
+                let _ = push_frame(&mut frames, &bytes);
+            }
         }
-        self.entries.push((key.to_string(), payload.clone()));
-        if let Some(f) = self.file.as_mut() {
-            let bytes = Term::build("d")
-                .unordered()
-                .field("key", key)
-                .child(Term::ordered("payload", vec![payload.clone()]))
-                .finish()
-                .to_string()
-                .into_bytes();
-            let _ = write_frame(f, &bytes);
-            let _ = f.flush();
+        if let (Some(f), false) = (self.file.as_mut(), frames.is_empty()) {
+            let _ = f.write_all(&frames);
             let _ = f.sync_data();
+            self.fsyncs += 1;
         }
+    }
+
+    /// `sync_data` calls the journal has issued since open.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 
     /// Every ingested delivery `(key, payload)`, in ingestion order.
@@ -1059,9 +1137,19 @@ mod tests {
             l.record("a#0", &Term::elem("x")); // idempotent
             assert_eq!(l.entries().len(), 2);
         }
-        let l = DeliveryLedger::open(&path).unwrap();
+        let mut l = DeliveryLedger::open(&path).unwrap();
         assert!(l.contains("a#0") && l.contains("a#1") && !l.contains("a#2"));
         assert_eq!(l.entries()[1].1, Term::elem("y"));
+        let (z, w) = (Term::elem("z"), Term::elem("w"));
+        l.record_many([("a#2", &z), ("a#1", &z), ("a#3", &w)]);
+        assert_eq!(l.fsyncs(), 1, "one run, one fsync");
+        l.record_many([("a#3", &w)]);
+        assert_eq!(l.fsyncs(), 1, "nothing new, no fsync");
+        drop(l);
+        let l = DeliveryLedger::open(&path).unwrap();
+        let keys: Vec<&str> = l.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a#0", "a#1", "a#2", "a#3"]);
+        assert_eq!(l.entries()[2].1, z);
         let _ = std::fs::remove_file(&path);
     }
 

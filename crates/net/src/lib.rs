@@ -48,6 +48,7 @@ pub mod wire;
 pub use client::NetClient;
 pub use delivery::{
     DeadLetter, DeliveryAgent, DeliveryConfig, DeliveryHandle, DeliveryLedger, DeliveryStats,
+    Outbound,
 };
 pub use limit::{BackoffPolicy, RateLimit};
 pub use router::NetConfig;

@@ -26,7 +26,9 @@ pub struct NetConfig {
     /// Largest batch handed to the engine in one call.
     pub max_batch: usize,
     /// How long the driver waits for a batch to fill before running a
-    /// partial one (the latency bound of batch formation).
+    /// partial one (the latency bound of batch formation). A batch that
+    /// holds a pushed delivery runs at once: its pusher waits for the
+    /// `accepted`, so waiting could not grow the batch.
     pub batch_latency: Duration,
     /// Global ingress queue capacity; events beyond it get `busy`
     /// replies.
@@ -123,18 +125,42 @@ pub(crate) struct QueueFull {
     pub capacity: u64,
 }
 
+impl Item {
+    /// Is this a pushed delivery (a `deliver` request, keyed)?
+    fn is_pushed(&self) -> bool {
+        matches!(self, Item::Msg { key: Some(_), .. })
+    }
+}
+
 /// The bounded arrival-order queue between reader threads and the
 /// driver.
 pub(crate) struct IngressQueue {
-    inner: Mutex<VecDeque<Item>>,
+    inner: Mutex<QueueState>,
     cv: Condvar,
     capacity: usize,
+}
+
+struct QueueState {
+    items: VecDeque<Item>,
+    /// How many of `items` are pushed deliveries, kept at push and
+    /// drain so batch formation checks it in O(1).
+    pushed: usize,
+}
+
+impl QueueState {
+    fn push(&mut self, item: Item) {
+        self.pushed += item.is_pushed() as usize;
+        self.items.push_back(item);
+    }
 }
 
 impl IngressQueue {
     pub(crate) fn new(capacity: usize) -> IngressQueue {
         IngressQueue {
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                pushed: 0,
+            }),
             cv: Condvar::new(),
             capacity,
         }
@@ -144,14 +170,14 @@ impl IngressQueue {
     /// queue depth *after* the push on success.
     pub(crate) fn push_event(&self, item: Item) -> Result<usize, QueueFull> {
         let mut q = self.inner.lock().expect("ingress queue poisoned");
-        if q.len() >= self.capacity {
+        if q.items.len() >= self.capacity {
             return Err(QueueFull {
-                depth: q.len() as u64,
+                depth: q.items.len() as u64,
                 capacity: self.capacity as u64,
             });
         }
-        q.push_back(item);
-        let depth = q.len();
+        q.push(item);
+        let depth = q.items.len();
         drop(q);
         self.cv.notify_one();
         Ok(depth)
@@ -161,14 +187,17 @@ impl IngressQueue {
     /// lockstep client can always flush even against a full queue.
     pub(crate) fn push_control(&self, item: Item) {
         let mut q = self.inner.lock().expect("ingress queue poisoned");
-        q.push_back(item);
+        q.push(item);
         drop(q);
         self.cv.notify_one();
     }
 
     /// Pop the next batch: blocks until at least one item is queued (or
     /// `shutdown` is raised), then waits up to `latency` for the batch
-    /// to fill to `max_batch` before draining what is there. On
+    /// to fill to `max_batch` before draining what is there. A batch
+    /// that holds a pushed delivery drains at once: each pusher has
+    /// one delivery in flight and waits for its `accepted`, so waiting
+    /// could not grow the batch, only delay every ack in it. On
     /// shutdown the remaining items drain immediately — in-flight work
     /// is finished, not dropped.
     pub(crate) fn pop_batch(
@@ -179,7 +208,7 @@ impl IngressQueue {
     ) -> Vec<Item> {
         let mut q = self.inner.lock().expect("ingress queue poisoned");
         // Phase 1: wait for the first item.
-        while q.is_empty() {
+        while q.items.is_empty() {
             if shutdown.load(Ordering::Acquire) {
                 return Vec::new();
             }
@@ -189,9 +218,11 @@ impl IngressQueue {
                 .expect("ingress queue poisoned");
             q = guard;
         }
-        // Phase 2: give the batch `latency` to fill.
+        // Phase 2: give the batch `latency` to fill. Below `max_batch`
+        // the batch is the whole queue, so a pushed delivery anywhere in
+        // it is in the batch.
         let deadline = Instant::now() + latency;
-        while q.len() < max_batch && !shutdown.load(Ordering::Acquire) {
+        while q.items.len() < max_batch && q.pushed == 0 && !shutdown.load(Ordering::Acquire) {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -202,13 +233,19 @@ impl IngressQueue {
                 .expect("ingress queue poisoned");
             q = guard;
         }
-        let n = q.len().min(max_batch);
-        q.drain(..n).collect()
+        let n = q.items.len().min(max_batch);
+        let batch: Vec<Item> = q.items.drain(..n).collect();
+        q.pushed -= batch.iter().filter(|i| i.is_pushed()).count();
+        batch
     }
 
     /// Current queue depth (diagnostics).
     pub(crate) fn depth(&self) -> usize {
-        self.inner.lock().expect("ingress queue poisoned").len()
+        self.inner
+            .lock()
+            .expect("ingress queue poisoned")
+            .items
+            .len()
     }
 }
 
@@ -355,14 +392,22 @@ mod tests {
     use reweb_core::MessageMeta;
     use reweb_term::Term;
 
-    fn item(i: u64) -> Item {
+    fn msg(i: u64, key: Option<String>) -> Item {
         Item::Msg {
             client: 1,
             id: i,
             msg: InMessage::new(Term::elem("e"), MessageMeta::local(), Timestamp(i)),
-            key: None,
+            key,
             enq: None,
         }
+    }
+
+    fn item(i: u64) -> Item {
+        msg(i, None)
+    }
+
+    fn pushed(i: u64) -> Item {
+        msg(i, Some(format!("http://a/#{i}")))
     }
 
     #[test]
@@ -391,6 +436,55 @@ mod tests {
         }
         let rest = q.pop_batch(16, Duration::from_millis(0), &shutdown);
         assert_eq!(rest.len(), 2);
+    }
+
+    #[test]
+    fn a_pushed_delivery_skips_the_fill_wait() {
+        let q = IngressQueue::new(16);
+        let shutdown = AtomicBool::new(false);
+        q.push_event(item(0)).unwrap();
+        q.push_event(pushed(1)).unwrap();
+        let t = Instant::now();
+        let batch = q.pop_batch(256, Duration::from_secs(10), &shutdown);
+        assert!(t.elapsed() < Duration::from_secs(2), "{:?}", t.elapsed());
+        assert_eq!(batch.len(), 2);
+        // The count follows the drain: an unkeyed batch waits again.
+        q.push_event(item(2)).unwrap();
+        let t = Instant::now();
+        let batch = q.pop_batch(256, Duration::from_millis(30), &shutdown);
+        assert!(t.elapsed() >= Duration::from_millis(30));
+        assert_eq!(batch.len(), 1);
+    }
+
+    #[test]
+    fn a_pushed_delivery_arriving_mid_wait_ends_it() {
+        let q = std::sync::Arc::new(IngressQueue::new(16));
+        let shutdown = AtomicBool::new(false);
+        q.push_event(item(0)).unwrap();
+        let q2 = std::sync::Arc::clone(&q);
+        let pusher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            q2.push_event(pushed(1)).unwrap();
+        });
+        let t = Instant::now();
+        let batch = q.pop_batch(256, Duration::from_secs(10), &shutdown);
+        assert!(t.elapsed() < Duration::from_secs(2), "{:?}", t.elapsed());
+        assert_eq!(batch.len(), 2);
+        pusher.join().unwrap();
+    }
+
+    #[test]
+    fn a_pushed_delivery_beyond_max_batch_stays_counted() {
+        let q = IngressQueue::new(16);
+        let shutdown = AtomicBool::new(false);
+        q.push_event(item(0)).unwrap();
+        q.push_event(item(1)).unwrap();
+        q.push_event(pushed(2)).unwrap();
+        assert_eq!(q.pop_batch(2, Duration::ZERO, &shutdown).len(), 2);
+        let t = Instant::now();
+        let batch = q.pop_batch(256, Duration::from_secs(10), &shutdown);
+        assert!(t.elapsed() < Duration::from_secs(2), "{:?}", t.elapsed());
+        assert!(batch[0].is_pushed());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use reweb_persist::{DurableEngine, Recoverable};
 use reweb_term::frame::{crc32, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use reweb_term::Timestamp;
 
-use crate::delivery::{DeliveryHandle, DeliveryLedger};
+use crate::delivery::{DeliveryHandle, DeliveryLedger, Outbound};
 use crate::limit::{Admission, BackoffPolicy, TokenBucket};
 use crate::router::{IngressQueue, Item, LanePush, NetConfig, ReplyClass, ReplyLane};
 use crate::wire::{event_to_message, ErrorCode, Reply, Request};
@@ -164,6 +164,7 @@ struct Counters {
     connections_refused: AtomicU64,
     deliveries_ingested: AtomicU64,
     deliveries_duplicate: AtomicU64,
+    ledger_fsyncs: AtomicU64,
     frames_in: AtomicU64,
     msgs_enqueued: AtomicU64,
     msgs_processed: AtomicU64,
@@ -193,6 +194,10 @@ pub struct IngressStats {
     /// Pushed deliveries recognized as retries of an already-ingested
     /// key and acked without re-ingestion.
     pub deliveries_duplicate: u64,
+    /// `sync_data` calls of the delivery ledger journal: at most one
+    /// per engine batch that ingested a pushed delivery, however many it
+    /// held (0 without a journal).
+    pub ledger_fsyncs: u64,
     /// Frames successfully read off sockets (any request kind).
     pub frames_in: u64,
     /// Events admitted into the ingress queue.
@@ -360,6 +365,7 @@ impl NetServer {
             connections_refused: c.connections_refused.load(Ordering::Relaxed),
             deliveries_ingested: c.deliveries_ingested.load(Ordering::Relaxed),
             deliveries_duplicate: c.deliveries_duplicate.load(Ordering::Relaxed),
+            ledger_fsyncs: c.ledger_fsyncs.load(Ordering::Relaxed),
             frames_in: c.frames_in.load(Ordering::Relaxed),
             msgs_enqueued: c.msgs_enqueued.load(Ordering::Relaxed),
             msgs_processed: c.msgs_processed.load(Ordering::Relaxed),
@@ -1139,24 +1145,8 @@ fn driver_loop(shared: Arc<Shared>) {
                         .advance_clock(at);
                     match outcome {
                         Ok(outs) => {
-                            for o in outs {
-                                shared
-                                    .counters
-                                    .reactions_out
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let trace = o.provenance.as_ref().map_or(0, |p| p.trace);
-                                push_outbound(&shared, &o.to, at, &o.payload, trace);
-                                shared.send_to(
-                                    client,
-                                    ReplyClass::Data,
-                                    Reply::Reaction {
-                                        id,
-                                        to: o.to,
-                                        payload: o.payload,
-                                    }
-                                    .encode(),
-                                );
-                            }
+                            let outs = outs.into_iter().map(|o| (0, o)).collect();
+                            route_reactions(&shared, outs, |_| (client, id, at));
                         }
                         Err(e) => {
                             shared
@@ -1187,21 +1177,58 @@ fn driver_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Hand one reaction to the attached delivery agent (when one is).
-/// `trace` is the originating event's trace id (0 = untraced) — it
-/// rides along so the delivery agent's outbox/round-trip spans join the
-/// same causal chain.
-fn push_outbound(shared: &Shared, to: &str, at: Timestamp, payload: &reweb_term::Term, trace: u64) {
-    let delivery = shared.delivery.lock().expect("delivery handle poisoned");
-    if let Some(h) = delivery.as_ref() {
-        h.enqueue(to, at, payload, trace);
+/// Route one engine call's reactions, each tagged with the index its
+/// `origin` maps to `(client, id, event time)`. The attached delivery
+/// agent (when one is) gets all of them first, in one
+/// [`DeliveryHandle::enqueue_batch`] — one outbox write and fsync for
+/// the lot — and only then do the reaction replies go out, so no reply
+/// precedes the fsync that journals its push. Each reaction carries its
+/// originating event's trace id, so the agent's outbox and round-trip
+/// spans join the same causal chain.
+fn route_reactions(
+    shared: &Shared,
+    outs: Vec<(u32, OutMessage)>,
+    origin: impl Fn(u32) -> (u64, u64, Timestamp),
+) {
+    shared
+        .counters
+        .reactions_out
+        .fetch_add(outs.len() as u64, Ordering::Relaxed);
+    if !outs.is_empty() {
+        let delivery = shared.delivery.lock().expect("delivery handle poisoned");
+        if let Some(h) = delivery.as_ref() {
+            let items: Vec<Outbound<'_>> = outs
+                .iter()
+                .map(|(k, o)| Outbound {
+                    to: &o.to,
+                    at: origin(*k).2,
+                    payload: &o.payload,
+                    trace: o.provenance.as_ref().map_or(0, |p| p.trace),
+                })
+                .collect();
+            h.enqueue_batch(&items);
+        }
+    }
+    for (k, o) in outs {
+        let (client, id, _) = origin(k);
+        shared.send_to(
+            client,
+            ReplyClass::Data,
+            Reply::Reaction {
+                id,
+                to: o.to,
+                payload: o.payload,
+            }
+            .encode(),
+        );
     }
 }
 
 /// Hand one accumulated message run to the engine, route its tagged
 /// outputs back to their submitters (and onward to the delivery agent),
-/// then settle the run's pushed deliveries: record their keys in the
-/// ledger and answer `accepted` — *after* the engine ran, so an ack is
+/// then settle the run's pushed deliveries: record all their keys in the
+/// ledger with one write and one fsync, and only then answer `accepted`
+/// — *after* the engine ran and the keys are durable, so an ack is
 /// never a lie.
 fn flush_run(
     shared: &Shared,
@@ -1224,33 +1251,25 @@ fn flush_run(
         .fetch_add(msgs.len() as u64, Ordering::Relaxed);
     match outcome {
         Ok(tagged) => {
-            for (k, o) in tagged {
+            route_reactions(shared, tagged, |k| {
                 let (client, id) = tags[k as usize];
+                (client, id, msgs[k as usize].at)
+            });
+            if keys.iter().any(Option::is_some) {
+                let mut ledger = shared.ledger.lock().expect("delivery ledger poisoned");
+                ledger.record_many(
+                    keys.iter()
+                        .zip(msgs.iter())
+                        .filter_map(|(k, m)| Some((k.as_deref()?, &m.payload))),
+                );
                 shared
                     .counters
-                    .reactions_out
-                    .fetch_add(1, Ordering::Relaxed);
-                let trace = o.provenance.as_ref().map_or(0, |p| p.trace);
-                push_outbound(shared, &o.to, msgs[k as usize].at, &o.payload, trace);
-                shared.send_to(
-                    client,
-                    ReplyClass::Data,
-                    Reply::Reaction {
-                        id,
-                        to: o.to,
-                        payload: o.payload,
-                    }
-                    .encode(),
-                );
+                    .ledger_fsyncs
+                    .store(ledger.fsyncs(), Ordering::Relaxed);
             }
             for (i, key) in keys.iter().enumerate() {
-                if let Some(key) = key {
+                if key.is_some() {
                     let (client, id) = tags[i];
-                    shared
-                        .ledger
-                        .lock()
-                        .expect("delivery ledger poisoned")
-                        .record(key, &msgs[i].payload);
                     shared
                         .counters
                         .deliveries_ingested

@@ -240,6 +240,72 @@ fn outbox_recovers_unsettled_deliveries_across_agent_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Group commit, counted rather than timed: one engine batch whose
+/// event fires N rules, pushing to K destinations, costs node A exactly
+/// one outbox enqueue fsync, and node B never syncs its ledger more
+/// often than it runs batches that held a delivery.
+#[test]
+fn one_engine_batch_costs_one_outbox_fsync() {
+    const N: usize = 8;
+    const K: usize = 3;
+    let dir = tmp("group-commit");
+    let b = bind_receiver("http://b/", &dir.join("ledger.log"));
+    let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 10)).unwrap();
+    agent.add_route("http://b/", b.local_addr());
+    let program: String = (0..N)
+        .map(|i| {
+            format!(
+                "RULE r{i} ON order{{{{id[[var O]]}}}} DO SEND ship{{id[var O], rule[\"{i}\"]}} \
+                 TO \"http://b/d{}\" END\n",
+                i % K
+            )
+        })
+        .collect();
+    let mut engine = ReactiveEngine::new("http://a/".to_string());
+    engine.install_program(&program).unwrap();
+    let a = NetServer::bind("127.0.0.1:0", engine, NetConfig::default()).unwrap();
+    a.attach_delivery(agent.handle());
+    let mut client = NetClient::connect(a.local_addr(), "http://client/").unwrap();
+
+    for round in 1..=2u64 {
+        client
+            .send_event(order(round as usize), Some(Timestamp(round)))
+            .unwrap();
+        let replies = client.sync().unwrap();
+        let reactions = replies
+            .iter()
+            .filter(|r| matches!(r, Reply::Reaction { .. }))
+            .count();
+        assert_eq!(reactions, N, "round {round}: {replies:?}");
+        let stats = agent.stats();
+        assert_eq!(stats.enqueued, round * N as u64);
+        assert_eq!(
+            stats.outbox_fsyncs, round,
+            "one outbox fsync per engine batch, not per reaction: {stats:?}"
+        );
+    }
+    agent.pump();
+    assert!(agent.flush(Duration::from_secs(10)));
+    wait_until("every push ingested", || b.delivered().len() == 2 * N);
+
+    let sent = agent.stats();
+    assert_eq!(sent.delivered, 2 * N as u64);
+    assert!(
+        (1..=sent.delivered).contains(&sent.settle_fsyncs),
+        "settles never cost more than one fsync each: {sent:?}"
+    );
+    let recv = b.stats();
+    assert_eq!(recv.deliveries_ingested, 2 * N as u64);
+    assert!(
+        recv.ledger_fsyncs >= 1 && recv.ledger_fsyncs <= recv.batches,
+        "at most one ledger fsync per engine batch: {recv:?}"
+    );
+    agent.shutdown();
+    drop(a);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The classic duplicate-generating fault: the connection drops after
 /// the push but before the ack. The retry must be absorbed by the
 /// receiver's key ledger — ingested exactly once, acked as duplicate.

@@ -56,17 +56,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Encode one frame (header + payload) into a fresh byte vector.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    extend_frame(&mut out, payload);
     out
 }
 
-/// Append one frame to a writer. Payloads over [`MAX_FRAME_LEN`] are
-/// refused with `InvalidInput` *before* any byte is written: a frame
-/// the reader would classify as corrupt must never be written (let
-/// alone fsynced and acknowledged) in the first place.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+fn extend_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Append one frame to `out`, so several records can go to disk in a
+/// single write. Payloads over [`MAX_FRAME_LEN`] are refused with
+/// `InvalidInput` and leave `out` untouched: a frame the reader would
+/// classify as corrupt must never be written (let alone fsynced and
+/// acknowledged) in the first place.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -76,9 +81,18 @@ pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Resu
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+    out.reserve(FRAME_HEADER_LEN + payload.len());
+    extend_frame(out, payload);
+    Ok(())
+}
+
+/// Append one frame to a writer in a single `write_all`, so a torn
+/// write can only cut that one buffer. Oversized payloads are refused
+/// before any byte is written (see [`push_frame`]).
+pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+    let mut buf = Vec::new();
+    push_frame(&mut buf, payload)?;
+    w.write_all(&buf)
 }
 
 /// Why a frame scan stopped where it did.
@@ -230,6 +244,40 @@ mod tests {
         let err = write_frame(&mut buf, &huge).expect_err("must refuse");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(buf.is_empty(), "no bytes written for a refused frame");
+    }
+
+    /// Counts `write` calls, to pin one syscall per framed append.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_of_the_encoded_frame() {
+        for payload in [b"".as_slice(), b"x", "β-payload".as_bytes()] {
+            let mut w = CountingWriter {
+                bytes: Vec::new(),
+                writes: 0,
+            };
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.bytes, encode_frame(payload));
+            assert_eq!(w.writes, 1, "header and payload go out in one write");
+            let mut pushed = Vec::new();
+            push_frame(&mut pushed, payload).unwrap();
+            assert_eq!(pushed, encode_frame(payload));
+        }
     }
 
     #[test]
